@@ -11,7 +11,8 @@
 //!   vector-at-a-time, with index use only for single-table equality.
 //! * **planned** — the cost-informed physical planner + pull-based
 //!   pipelined executor behind `Database::execute`, with index point
-//!   and range sargs, index-aware joins, and LIMIT pushdown.
+//!   and range sargs (two-sided bounds intersected into one range),
+//!   index-aware joins, and LIMIT pushdown.
 //!
 //! Every query's result sets are checked for equivalence between the
 //! two paths before timing. p50/p95 latencies and the p50 speedup are
@@ -30,7 +31,7 @@ struct Query {
     tagged: bool,
 }
 
-const QUERIES: [Query; 6] = [
+const QUERIES: [Query; 7] = [
     Query {
         name: "s5_students",
         sql: "SELECT name FROM medical_students WHERE course = 'Databases'",
@@ -44,6 +45,11 @@ const QUERIES: [Query; 6] = [
     Query {
         name: "range_scan",
         sql: "SELECT name FROM patient WHERE patient_id BETWEEN 100 AND 120",
+        tagged: false,
+    },
+    Query {
+        name: "range_two_sided",
+        sql: "SELECT name FROM patient WHERE patient_id >= 100 AND patient_id < 120",
         tagged: false,
     },
     Query {

@@ -26,6 +26,7 @@ use crate::dialect::Dialect;
 use crate::exec::{execute_select_with_metrics, ExecMetrics, ResultSet};
 use crate::expr::{eval, EvalContext, Expr};
 use crate::file_mgr::{DiskVfs, Vfs};
+use crate::plan::dml_candidates;
 use crate::recovery::{self, Meta};
 use crate::sql::ast::Statement;
 use crate::sql::parse_statement;
@@ -1095,8 +1096,11 @@ impl Database {
         }
 
         // Phase 1: decide which slots match and compute the new rows.
+        // Only the access path's candidates can match; they come in
+        // slot order, as a table scan would visit them.
         let mut changes: Vec<(usize, Row)> = Vec::new();
-        for (slot, row) in t.scan() {
+        for slot in dml_candidates(t, &lower, filter) {
+            let Some(row) = t.row(slot) else { continue };
             let ctx = crate::expr::SingleRow {
                 columns: &columns,
                 row,
@@ -1178,7 +1182,8 @@ impl Database {
         let columns = t.schema.column_names();
 
         let mut victims: Vec<usize> = Vec::new();
-        for (slot, row) in t.scan() {
+        for slot in dml_candidates(t, &lower, filter) {
+            let Some(row) = t.row(slot) else { continue };
             let ctx = crate::expr::SingleRow {
                 columns: &columns,
                 row,

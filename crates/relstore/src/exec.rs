@@ -15,11 +15,9 @@
 
 use crate::expr::{eval, AggFunc, BinOp, EvalContext, Expr};
 use crate::plan::{
-    conjuncts, detect_pk_point, eq_lowered, equi_join_offsets, expand_items, lookup, plan_select,
-    Layout, PhysicalPlan, PkPoint, Sarg,
+    conjuncts, equi_join_offsets, expand_items, lookup, plan_select, Layout, PhysicalPlan,
 };
-use crate::schema::TableSchema;
-use crate::sql::ast::{Join, JoinKind, OrderKey, SelectItem, SelectStmt};
+use crate::sql::ast::{Join, JoinKind, OrderKey, SelectStmt};
 use crate::storage::Table;
 use crate::types::{Datum, Row};
 use crate::{RelError, RelResult};
@@ -522,11 +520,7 @@ fn build_rowop<'a>(
         }
         PhysicalPlan::IxScan(n) => {
             let t = lookup(tables, &n.table)?;
-            let slots = match &n.sarg {
-                Sarg::Eq(v) => t.index_lookup(n.col_idx, v),
-                Sarg::Range { lo, hi } => t.index_range(n.col_idx, lo.as_ref(), hi.as_ref()),
-            }
-            .unwrap_or_default();
+            let slots = n.sarg.probe(t, n.col_idx);
             m.index_hits += slots.len() as u64;
             m.operators.push(plan.name());
             Ok(Box::new(IxScanExec {
@@ -667,86 +661,12 @@ fn build_keyed<'a>(
     }
 }
 
-/// Direct interpreter for the planner's point-lookup shape
-/// (`project ← filter ← index scan` with an equality sarg), bypassing
-/// the boxed-operator pipeline. A PK point query touches at most one
-/// row, so the pipeline's setup cost (three heap-allocated operators
-/// plus a row clone per scan) dominates its runtime; this path
-/// evaluates the same filter and projection expressions borrowing the
-/// stored row in place. Metrics are recorded exactly as the pipeline
-/// operators record them — same counters, same leaf-first `operators`
-/// list — so callers cannot tell which interpreter ran.
-fn execute_point_lookup(
-    plan: &PhysicalPlan,
-    tables: &HashMap<String, Table>,
-) -> Option<RelResult<(ResultSet, ExecMetrics)>> {
-    let PhysicalPlan::Project(p) = plan else {
-        return None;
-    };
-    if !p.order_by.is_empty() {
-        return None;
-    }
-    let filter_plan = p.input.as_ref();
-    let PhysicalPlan::Filter(f) = filter_plan else {
-        return None;
-    };
-    let scan_plan = f.input.as_ref();
-    let PhysicalPlan::IxScan(ix) = scan_plan else {
-        return None;
-    };
-    let Sarg::Eq(key) = &ix.sarg else {
-        return None;
-    };
-    Some((|| {
-        let t = lookup(tables, &ix.table)?;
-        let mut m = ExecMetrics::default();
-        let slots = t.index_lookup(ix.col_idx, key).unwrap_or_default();
-        m.index_hits += slots.len() as u64;
-        m.operators.push(scan_plan.name());
-        m.operators.push(filter_plan.name());
-        m.operators.push(plan.name());
-        let mut rows = Vec::new();
-        for slot in slots {
-            let Some(r) = t.row(slot) else { continue };
-            m.rows_scanned += 1;
-            m.bytes_scanned += row_bytes(r);
-            let ctx = LayoutRow {
-                layout: &f.layout,
-                row: r,
-            };
-            if !matches!(eval(&f.pred, &ctx)?, Datum::Bool(true)) {
-                continue;
-            }
-            let ctx = LayoutRow {
-                layout: &p.layout,
-                row: r,
-            };
-            let mut out = Vec::with_capacity(p.select_exprs.len());
-            for (e, _) in &p.select_exprs {
-                out.push(eval(e, &ctx)?);
-            }
-            m.rows_output += 1;
-            rows.push(out);
-        }
-        Ok((
-            ResultSet {
-                columns: plan.output_columns().to_vec(),
-                rows,
-            },
-            m,
-        ))
-    })())
-}
-
 /// Execute a previously planned [`PhysicalPlan`], returning the result
 /// set and the execution metrics it generated.
 pub fn execute_plan(
     plan: &PhysicalPlan,
     tables: &HashMap<String, Table>,
 ) -> RelResult<(ResultSet, ExecMetrics)> {
-    if let Some(result) = execute_point_lookup(plan, tables) {
-        return result;
-    }
     let mut m = ExecMetrics::default();
     let mut op = build_keyed(plan, tables, &mut m)?;
     let mut rows = Vec::new();
@@ -769,112 +689,11 @@ pub fn execute_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Rel
     execute_select_with_metrics(stmt, tables).map(|(rs, _)| rs)
 }
 
-/// Evaluation context for the AST-level point lookup: resolves columns
-/// against the single FROM table's schema directly, with the same
-/// case-folding [`Layout::resolve`] applies, but without materializing
-/// a `Layout` (whose per-column `String` clones dominate a one-row
-/// query).
-struct SchemaRow<'a> {
-    binding: &'a str,
-    schema: &'a TableSchema,
-    row: &'a [Datum],
-}
-
-impl EvalContext for SchemaRow<'_> {
-    fn resolve_column(&self, table: Option<&str>, name: &str) -> RelResult<Datum> {
-        if let Some(t) = table {
-            if !t.eq_ignore_ascii_case(self.binding) {
-                return Err(RelError::NoSuchTable(t.to_ascii_lowercase()));
-            }
-        }
-        let i = self
-            .schema
-            .columns
-            .iter()
-            .position(|c| eq_lowered(&c.name, name))
-            .ok_or_else(|| RelError::NoSuchColumn(name.to_ascii_lowercase()))?;
-        Ok(self.row[i].clone())
-    }
-}
-
-/// Run a detected PK point lookup straight off the AST: no plan tree,
-/// no `Layout`, no operator boxes. Returns `None` (fall back to the
-/// planned pipeline) when the select list needs layout expansion
-/// (wildcards). Metrics are recorded exactly as the planned pipeline
-/// would record them for the same statement — including the operator
-/// names of the tree [`plan_select`] would have built — so EXPLAIN,
-/// `last_exec_metrics`, and the differential tests cannot tell the
-/// paths apart.
-fn execute_pk_point_ast(
-    stmt: &SelectStmt,
-    pk: &PkPoint<'_>,
-) -> Option<RelResult<(ResultSet, ExecMetrics)>> {
-    let mut select: Vec<(&Expr, String)> = Vec::with_capacity(stmt.items.len());
-    for item in &stmt.items {
-        let SelectItem::Expr { expr, alias } = item else {
-            return None;
-        };
-        // Output naming mirrors `expand_items` for non-wildcard items.
-        let name = match alias {
-            Some(a) => a.to_ascii_lowercase(),
-            None => match expr {
-                Expr::Column { name, .. } => name.clone(),
-                other => other.to_sql().to_ascii_lowercase(),
-            },
-        };
-        select.push((expr, name));
-    }
-    Some((|| {
-        let t = pk.base;
-        let mut m = ExecMetrics::default();
-        let slots = t.index_lookup(pk.col_idx, pk.key).unwrap_or_default();
-        m.index_hits += slots.len() as u64;
-        // The operator list of the point-lookup tree `plan_select`
-        // commits to under these exact preconditions; the
-        // explain/metrics equivalence tests pin this correspondence.
-        m.operators.push("index scan");
-        m.operators.push("filter");
-        m.operators.push("project");
-        let columns: Vec<String> = select.iter().map(|(_, n)| n.clone()).collect();
-        let binding = stmt.from.binding();
-        let mut rows = Vec::new();
-        for slot in slots {
-            let Some(r) = t.row(slot) else { continue };
-            m.rows_scanned += 1;
-            m.bytes_scanned += row_bytes(r);
-            let ctx = SchemaRow {
-                binding,
-                schema: &t.schema,
-                row: r,
-            };
-            if !matches!(eval(pk.filter, &ctx)?, Datum::Bool(true)) {
-                continue;
-            }
-            let mut out = Vec::with_capacity(select.len());
-            for (e, _) in &select {
-                out.push(eval(e, &ctx)?);
-            }
-            m.rows_output += 1;
-            rows.push(out);
-        }
-        Ok((ResultSet { columns, rows }, m))
-    })())
-}
-
 /// Execute a SELECT and return the [`ExecMetrics`] alongside the rows.
-///
-/// Single-table primary-key equality lookups skip plan construction
-/// entirely (see [`execute_pk_point_ast`]); everything else is planned
-/// with [`plan_select`] and run through the pipelined executor.
 pub fn execute_select_with_metrics(
     stmt: &SelectStmt,
     tables: &HashMap<String, Table>,
 ) -> RelResult<(ResultSet, ExecMetrics)> {
-    if let Some(pk) = detect_pk_point(stmt, tables) {
-        if let Some(result) = execute_pk_point_ast(stmt, &pk) {
-            return result;
-        }
-    }
     let plan = plan_select(stmt, tables)?;
     execute_plan(&plan, tables)
 }

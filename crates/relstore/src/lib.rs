@@ -15,7 +15,8 @@
 //! * an expression evaluator with SQL three-valued logic ([`expr`]);
 //! * a cost-informed physical planner ([`plan`]) choosing index point
 //!   lookups, index range scans, and hash/index/nested-loop joins from
-//!   lightweight per-table statistics;
+//!   lightweight per-table statistics; `UPDATE` and `DELETE` use the
+//!   same access-path chooser to find their rows;
 //! * a pull-based pipelined executor ([`exec`]) that runs the planned
 //!   operator tree, stops pulling at `LIMIT`, and reports
 //!   [`exec::ExecMetrics`]; `EXPLAIN` renders the very plan it runs;

@@ -1,4 +1,5 @@
-//! Logical → physical planning for SELECT statements.
+//! Logical → physical planning for SELECT statements, and the one
+//! base-table access-path chooser SELECT, UPDATE and DELETE share.
 //!
 //! [`plan_select`] turns a parsed [`SelectStmt`] into a [`PhysicalPlan`]
 //! operator tree using lightweight per-table statistics (live row
@@ -14,12 +15,17 @@
 //! decisions — which sarg serves the base access path, and whether an
 //! inner equi-join probes the inner index per left row (`IxJoin`)
 //! instead of building a hash table (`HashJoin`).
+//!
+//! UPDATE and DELETE find their rows through [`dml_candidates`], which
+//! asks the same chooser as [`plan_select`], so a PK equality or a
+//! bounded key range is an index probe for writes as well as reads.
 
 use crate::expr::{BinOp, Expr};
 use crate::sql::ast::{JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::storage::{IndexKind, Table};
 use crate::types::Datum;
 use crate::{RelError, RelResult};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::Bound;
@@ -209,6 +215,18 @@ pub enum Sarg {
         /// Upper bound on the index key.
         hi: Bound<Datum>,
     },
+}
+
+impl Sarg {
+    /// The slots of `t` this sarg selects through the index over
+    /// `col_idx` (empty when that column has no usable index).
+    pub(crate) fn probe(&self, t: &Table, col_idx: usize) -> Vec<usize> {
+        match self {
+            Sarg::Eq(v) => t.index_lookup(col_idx, v),
+            Sarg::Range { lo, hi } => t.index_range(col_idx, lo.as_ref(), hi.as_ref()),
+        }
+        .unwrap_or_default()
+    }
 }
 
 /// Full-table scan node.
@@ -667,140 +685,83 @@ fn sarg_of(
     })
 }
 
-/// The facts of a detected single-table primary-key point lookup,
-/// borrowed from the statement and catalog. Produced by
-/// [`detect_pk_point`]; consumed by [`plan_pk_point`] (to build the
-/// canonical plan tree) and by the executor's direct AST path in
-/// [`crate::exec::execute_select_with_metrics`] (to skip plan
-/// construction entirely).
-pub(crate) struct PkPoint<'a> {
-    /// The resolved base table.
-    pub(crate) base: &'a Table,
-    /// Offset of the primary-key column in the table schema.
-    pub(crate) col_idx: usize,
-    /// The literal the key column is compared against.
-    pub(crate) key: &'a Datum,
-    /// The full WHERE expression (still evaluated per fetched row).
-    pub(crate) filter: &'a Expr,
-}
-
-/// Compare a stored (already lowercase) identifier against a query
-/// identifier, mirroring [`Layout::resolve`]'s
-/// `stored == query.to_ascii_lowercase()` without allocating.
-pub(crate) fn eq_lowered(stored: &str, query: &str) -> bool {
-    stored.len() == query.len()
-        && stored
-            .bytes()
-            .zip(query.bytes())
-            .all(|(s, q)| s == q.to_ascii_lowercase())
-}
-
-/// Recognize `SELECT <no aggregates> FROM one_table WHERE pk = literal`
-/// with no joins, grouping, ordering, DISTINCT, or LIMIT. The
-/// preconditions here are exactly the ones under which [`plan_select`]
-/// commits to the point-lookup tree, so both the planner shortcut and
-/// the executor's AST path key off one detector and cannot drift.
-pub(crate) fn detect_pk_point<'a>(
-    stmt: &'a SelectStmt,
-    tables: &'a HashMap<String, Table>,
-) -> Option<PkPoint<'a>> {
-    if !stmt.joins.is_empty()
-        || !stmt.group_by.is_empty()
-        || stmt.having.is_some()
-        || stmt.distinct
-        || !stmt.order_by.is_empty()
-        || stmt.limit.is_some()
-    {
-        return None;
-    }
-    let filter = stmt.filter.as_ref()?;
-    // Exactly one conjunct of the shape `col = literal` (either order).
-    let (col, lit) = match filter {
-        Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } => match (&**left, &**right) {
-            (Expr::Column { table, name }, Expr::Literal(d))
-            | (Expr::Literal(d), Expr::Column { table, name }) => ((table, name), d),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    // Aggregates reshape the tree (HashAggregate root); leave them to
-    // the general path.
-    let has_aggregate = stmt.items.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-        _ => false,
-    });
-    if has_aggregate {
-        return None;
-    }
-    let base = lookup(tables, &stmt.from.name).ok()?;
-    // A qualifier must name the FROM binding (same check resolving
-    // through a one-table Layout would perform).
-    if let Some(t) = col.0.as_deref() {
-        if !t.eq_ignore_ascii_case(stmt.from.binding()) {
-            return None;
+/// The tighter of two bounds on one side of a range: the one whose
+/// value lies further in direction `wins` (`Greater` for lower
+/// bounds, `Less` for upper ones) under the B-tree's total order
+/// (`sort_cmp`). At equal values `Excluded` beats `Included`.
+fn tighter(a: Bound<Datum>, b: Bound<Datum>, wins: Ordering) -> Bound<Datum> {
+    match (&a, &b) {
+        (Bound::Unbounded, _) => b,
+        (_, Bound::Unbounded) => a,
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            match x.sort_cmp(y) {
+                Ordering::Equal if matches!(b, Bound::Excluded(_)) => b,
+                Ordering::Equal => a,
+                ord if ord == wins => a,
+                _ => b,
+            }
         }
     }
-    let col_idx = base
-        .schema
-        .columns
-        .iter()
-        .position(|c| eq_lowered(&c.name, col.1))?;
-    if base.schema.single_primary_key() != Some(col_idx) {
-        return None;
-    }
-    Some(PkPoint {
-        base,
-        col_idx,
-        key: lit,
-        filter,
-    })
 }
 
-/// Recognize the canonical point lookup — `SELECT ... FROM t WHERE
-/// pk = literal`, single table, nothing else in play — and build its
-/// plan directly, skipping the costing pass entirely.
+/// The base-table access path: the best index sarg the WHERE clause
+/// offers, or `None` for a full scan. Shared by SELECT planning and
+/// by UPDATE/DELETE candidate selection ([`dml_candidates`]).
 ///
-/// A primary-key equality can only ever plan one way (index lookup,
-/// residual filter, projection), so running the full sarg sweep and
-/// statistics pass for it is pure overhead; at one-row result sizes
-/// that overhead is what the E10 `pk_point` measurement is made of.
-/// The tree built here is node-for-node identical to what the general
-/// path would produce (same operators, same `est_rows`, same EXPLAIN
-/// rendering) — only the work to decide it is skipped.
-fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<PhysicalPlan> {
-    let pk = detect_pk_point(stmt, tables)?;
-    let (base, col_idx, lit, filter) = (pk.base, pk.col_idx, pk.key, pk.filter);
+/// Range sargs on the same column are intersected into one bounded
+/// range (`id >= a AND id < b` scans only `[a, b)`); contradictory
+/// bounds become an inverted range, which [`Table::index_range`]
+/// answers with no slots. Then equality beats range, and among those
+/// the most selective (highest distinct count) index wins; on a tie
+/// the later conjunct wins.
+fn choose_access(
+    filter: &Expr,
+    layout: &Layout,
+    base: &Table,
+    base_arity: usize,
+) -> Option<SargCandidate> {
+    let mut cands: Vec<SargCandidate> = Vec::new();
+    for mut cand in conjuncts(filter)
+        .into_iter()
+        .filter_map(|c| sarg_of(c, layout, base, base_arity))
+    {
+        let col = cand.col_idx;
+        if let Sarg::Range { lo, hi } = &mut cand.sarg {
+            let earlier = cands
+                .iter()
+                .position(|p| p.col_idx == col && matches!(p.sarg, Sarg::Range { .. }));
+            if let Some(Sarg::Range { lo: lo0, hi: hi0 }) = earlier.map(|i| cands.remove(i).sarg) {
+                *lo = tighter(
+                    lo0,
+                    std::mem::replace(lo, Bound::Unbounded),
+                    Ordering::Greater,
+                );
+                *hi = tighter(hi0, std::mem::replace(hi, Bound::Unbounded), Ordering::Less);
+            }
+        }
+        cands.push(cand);
+    }
+    cands
+        .into_iter()
+        .max_by_key(|c| (matches!(c.sarg, Sarg::Eq(_)), c.distinct))
+}
+
+/// Slots an UPDATE or DELETE over `t` (bound as `binding`) must look
+/// at: the index probe of [`choose_access`] when a sarg applies,
+/// otherwise every live slot. Always in slot order, so the statement
+/// meets its rows in the order a table scan would; the caller still
+/// evaluates the full WHERE clause on each candidate.
+pub(crate) fn dml_candidates(t: &Table, binding: &str, filter: Option<&Expr>) -> Vec<usize> {
     let mut layout = Layout::new();
-    layout.push(
-        stmt.from.binding().to_ascii_lowercase(),
-        base.schema.column_names(),
-    );
-    let select_exprs = expand_items(&stmt.items, &layout).ok()?;
-    let columns: Vec<String> = select_exprs.iter().map(|(_, n)| n.clone()).collect();
-    let scan = PhysicalPlan::IxScan(IxScanNode {
-        table: stmt.from.name.to_ascii_lowercase(),
-        column: base.schema.columns[col_idx].name.clone(),
-        col_idx,
-        sarg: Sarg::Eq(lit.clone()),
-        via: IndexKind::PrimaryKey,
-        est_rows: 1,
-    });
-    let filtered = PhysicalPlan::Filter(Box::new(FilterNode {
-        input: Box::new(scan),
-        pred: filter.clone(),
-        layout: layout.clone(),
-    }));
-    Some(PhysicalPlan::Project(Box::new(ProjectNode {
-        input: Box::new(filtered),
-        select_exprs,
-        columns,
-        order_by: Vec::new(),
-        layout,
-    })))
+    layout.push(binding.to_owned(), t.schema.column_names());
+    match filter.and_then(|f| choose_access(f, &layout, t, t.schema.arity())) {
+        Some(c) => {
+            let mut slots = c.sarg.probe(t, c.col_idx);
+            slots.sort_unstable();
+            slots
+        }
+        None => t.scan().map(|(slot, _)| slot).collect(),
+    }
 }
 
 /// Build the physical plan for `stmt` against the current catalog.
@@ -808,12 +769,7 @@ fn plan_pk_point(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> Option<P
 /// Planning never executes row-level work, so `EXPLAIN` is free; it
 /// does resolve tables (errors early, like the executor would) and
 /// reads table statistics for its access-path and join decisions.
-/// Single-table primary-key point lookups short-circuit past the cost
-/// pass (see [`plan_pk_point`]).
 pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelResult<PhysicalPlan> {
-    if let Some(plan) = plan_pk_point(stmt, tables) {
-        return Ok(plan);
-    }
     let base = lookup(tables, &stmt.from.name)?;
     let base_name = stmt.from.name.to_ascii_lowercase();
     let base_arity = base.schema.arity();
@@ -850,14 +806,10 @@ pub fn plan_select(stmt: &SelectStmt, tables: &HashMap<String, Table>) -> RelRes
     let stats = base.stats();
     let mut plan;
     let mut est_rows: f64;
-    let best = stmt.filter.as_ref().and_then(|filter| {
-        conjuncts(filter)
-            .into_iter()
-            .filter_map(|c| sarg_of(c, &layout, base, base_arity))
-            // Prefer equality over range, then the most selective
-            // (highest distinct count) index.
-            .max_by_key(|c| (matches!(c.sarg, Sarg::Eq(_)), c.distinct))
-    });
+    let best = stmt
+        .filter
+        .as_ref()
+        .and_then(|filter| choose_access(filter, &layout, base, base_arity));
     match best {
         Some(cand) => {
             let est = match cand.sarg {
@@ -1167,9 +1119,8 @@ mod tests {
     }
 
     #[test]
-    fn pk_point_fast_path_builds_the_canonical_tree() {
-        // The shape the general path would build: index lookup,
-        // residual filter, projection — with the same rendering.
+    fn pk_point_builds_the_canonical_tree() {
+        // Index lookup, residual filter, projection.
         let p = plan("SELECT salary FROM emp WHERE emp_id = 3");
         assert_eq!(p.operator_names(), vec!["index scan", "filter", "project"]);
         let text = p.render().join("\n");
@@ -1183,8 +1134,8 @@ mod tests {
         let p = plan("SELECT e.salary FROM emp e WHERE 3 = e.emp_id");
         assert_eq!(p.operator_names(), vec!["index scan", "filter", "project"]);
 
-        // Non-PK equality, extra conjuncts, and wrappers fall through
-        // to the general path (same answers, costed plan).
+        // Non-PK equality, extra conjuncts, and wrappers plan around
+        // the same access path.
         let p = plan("SELECT salary FROM emp WHERE dept_id = 2");
         assert!(p.render().join("\n").contains("via secondary index"));
         let p = plan("SELECT salary FROM emp WHERE emp_id = 3 AND salary > 0");
@@ -1193,6 +1144,112 @@ mod tests {
         assert!(p.operator_names().contains(&"hash aggregate"));
         let p = plan("SELECT salary FROM emp WHERE emp_id = 3 LIMIT 1");
         assert!(p.operator_names().contains(&"limit"));
+    }
+
+    /// `items(id pk, grp indexed, amount)` with ids 1..=100 and
+    /// `grp = id % 10`.
+    fn items() -> HashMap<String, Table> {
+        let mut items = Table::new(TableSchema::new(
+            "items",
+            vec![
+                Column::new("id", DataType::Int).primary_key(),
+                Column::new("grp", DataType::Int),
+                Column::new("amount", DataType::Int),
+            ],
+        ));
+        for id in 1..=100 {
+            items
+                .insert(vec![Datum::Int(id), Datum::Int(id % 10), Datum::Int(0)])
+                .unwrap();
+        }
+        items.create_index("items_grp", 1).unwrap();
+        HashMap::from([("items".to_string(), items)])
+    }
+
+    /// The plan's rendering, its result rows, and its metrics.
+    fn run_items(sql: &str) -> (String, Vec<crate::types::Row>, crate::exec::ExecMetrics) {
+        let tables = items();
+        let Statement::Select(s) = parse_statement(sql).unwrap() else {
+            panic!("not a select: {sql}");
+        };
+        let p = plan_select(&s, &tables).unwrap();
+        let (rs, m) = crate::exec::execute_plan(&p, &tables).unwrap();
+        (p.render().join("\n"), rs.rows, m)
+    }
+
+    #[test]
+    fn two_sided_range_scans_only_the_bounded_keys() {
+        let (text, rows, m) = run_items("SELECT id FROM items WHERE id >= 10 AND id < 20");
+        assert!(
+            text.contains("index range scan items.id >= 10 AND id < 20 via PRIMARY KEY"),
+            "{text}"
+        );
+        assert_eq!(rows.len(), 10);
+        assert_eq!(m.rows_scanned, 10, "{m:?}");
+        assert_eq!(m.index_hits, 10, "{m:?}");
+
+        // Bound order in the WHERE clause does not matter.
+        let (text, _, m) = run_items("SELECT id FROM items WHERE id < 20 AND 10 <= id");
+        assert!(text.contains("items.id >= 10 AND id < 20"), "{text}");
+        assert_eq!(m.rows_scanned, 10, "{m:?}");
+    }
+
+    #[test]
+    fn range_intersection_keeps_the_tighter_bound() {
+        let (text, _, _) = run_items("SELECT id FROM items WHERE id >= 5 AND id >= 7");
+        assert!(
+            text.contains("index range scan items.id >= 7 via"),
+            "{text}"
+        );
+        let (text, _, _) = run_items("SELECT id FROM items WHERE id <= 9 AND id <= 30");
+        assert!(
+            text.contains("index range scan items.id <= 9 via"),
+            "{text}"
+        );
+        // BETWEEN intersects like any other pair of bounds.
+        let (text, rows, m) =
+            run_items("SELECT id FROM items WHERE id BETWEEN 3 AND 50 AND id < 6");
+        assert!(text.contains("items.id >= 3 AND id < 6"), "{text}");
+        assert_eq!((rows.len(), m.rows_scanned), (3, 3));
+    }
+
+    #[test]
+    fn range_intersection_prefers_excluded_at_equal_values() {
+        let (text, rows, _) = run_items("SELECT id FROM items WHERE id >= 7 AND id > 7");
+        assert!(text.contains("index range scan items.id > 7 via"), "{text}");
+        assert_eq!(rows.first(), Some(&vec![Datum::Int(8)]));
+        let (text, _, _) = run_items("SELECT id FROM items WHERE id > 7 AND id >= 7");
+        assert!(text.contains("index range scan items.id > 7 via"), "{text}");
+        let (text, _, _) = run_items("SELECT id FROM items WHERE id < 9 AND id <= 9");
+        assert!(text.contains("index range scan items.id < 9 via"), "{text}");
+    }
+
+    #[test]
+    fn contradictory_bounds_return_no_rows() {
+        for sql in [
+            "SELECT id FROM items WHERE id > 20 AND id < 10",
+            "SELECT id FROM items WHERE id > 7 AND id < 7",
+            "SELECT id FROM items WHERE id > 7 AND id <= 7",
+            "SELECT id FROM items WHERE grp > 8 AND grp < 2",
+        ] {
+            let (text, rows, m) = run_items(sql);
+            assert!(text.contains("index range scan"), "{sql}: {text}");
+            assert!(rows.is_empty(), "{sql}: {rows:?}");
+            assert_eq!(m.rows_scanned, 0, "{sql}: {m:?}");
+        }
+    }
+
+    #[test]
+    fn secondary_index_ranges_intersect_the_same_way() {
+        let (text, rows, m) = run_items("SELECT id FROM items WHERE grp >= 3 AND grp < 5");
+        assert!(
+            text.contains("index range scan items.grp >= 3 AND grp < 5 via secondary index"),
+            "{text}"
+        );
+        // grp 3 and 4: ten ids each.
+        assert_eq!((rows.len(), m.rows_scanned), (20, 20));
+        let (text, _, _) = run_items("SELECT id FROM items WHERE grp > 3 AND grp >= 3");
+        assert!(text.contains("items.grp > 3 via secondary index"), "{text}");
     }
 
     #[test]

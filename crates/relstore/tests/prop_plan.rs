@@ -12,11 +12,16 @@
 //!    from the same [`PhysicalPlan`] the executor runs, so the
 //!    operators named in the plan are exactly the operators
 //!    [`ExecMetrics`] says executed.
+//! 3. **DML equivalence** — `UPDATE` and `DELETE` find their rows
+//!    through the same access-path chooser as `SELECT`, and must affect
+//!    exactly the rows the naive reference selects with the same
+//!    WHERE clause.
 
+use std::collections::BTreeMap;
 use webfindit_base::prop::{cases, pick};
 use webfindit_base::rng::StdRng;
 use webfindit_relstore::sql::{parse_statement, Statement};
-use webfindit_relstore::{plan_select, Database, Datum, Dialect};
+use webfindit_relstore::{plan_select, Database, Datum, Dialect, ExecOutcome};
 
 const WORDS: [&str; 5] = ["ward", "icu", "lab", "er", "hospice"];
 
@@ -330,4 +335,147 @@ fn explain_names_the_operators_that_ran() {
             .collect();
         assert_eq!(lines, rendered, "EXPLAIN text for {sql}");
     }
+}
+
+/// A table for the DML property: `d(id pk, k indexed, u, tag)`, with
+/// ids inserted in random order and some rows deleted, so slot order
+/// differs from key order and the heap holds tombstones. `k` and `u`
+/// are nullable; `u` has no index.
+fn gen_dml_db(rng: &mut StdRng) -> Database {
+    let mut db = Database::new("dml", Dialect::Canonical);
+    db.execute("CREATE TABLE d (id INT PRIMARY KEY, k INT, u DOUBLE, tag INT)")
+        .unwrap();
+    db.execute("CREATE INDEX d_k ON d (k)").unwrap();
+    let n = rng.gen_range(0..40i64);
+    let mut ids: Vec<i64> = (0..n).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    for id in ids {
+        let k = if rng.gen_bool(0.15) {
+            "NULL".to_owned()
+        } else {
+            rng.gen_range(0..8i64).to_string()
+        };
+        let u = if rng.gen_bool(0.15) {
+            "NULL".to_owned()
+        } else {
+            format!("{}.5", rng.gen_range(0..20i64))
+        };
+        db.execute(&format!("INSERT INTO d VALUES ({id}, {k}, {u}, 0)"))
+            .unwrap();
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        let id = rng.gen_range(0..40i64);
+        db.execute(&format!("DELETE FROM d WHERE id = {id}"))
+            .unwrap();
+    }
+    db
+}
+
+/// A literal for a DML conjunct: mostly an integer near the data, but
+/// also a fractional number, NULL, or a text value.
+fn gen_literal(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..10u32) {
+        0 => "NULL".to_owned(),
+        1 => "'x'".to_owned(),
+        2..=3 => format!("{}.5", rng.gen_range(-1..40i64)),
+        _ => rng.gen_range(-1..40i64).to_string(),
+    }
+}
+
+/// A WHERE clause of 1–3 AND-ed eq/range/BETWEEN conjuncts over the
+/// primary key, the indexed column, and the unindexed column.
+fn gen_dml_where(rng: &mut StdRng) -> String {
+    let parts: Vec<String> = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            let col = *pick(rng, &["id", "k", "u"]);
+            let lit = gen_literal(rng);
+            match rng.gen_range(0..7u32) {
+                0 => format!("{col} = {lit}"),
+                1 => format!("{col} < {lit}"),
+                2 => format!("{col} <= {lit}"),
+                3 => format!("{col} > {lit}"),
+                4 => format!("{col} >= {lit}"),
+                5 => format!("{lit} > {col}"),
+                _ => format!("{col} BETWEEN {lit} AND {}", gen_literal(rng)),
+            }
+        })
+        .collect();
+    parts.join(" AND ")
+}
+
+/// The whole table, keyed by id, through the naive reference.
+fn table_by_id(db: &Database) -> BTreeMap<i64, Vec<Datum>> {
+    db.query_naive("SELECT id, k, u, tag FROM d")
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|r| match r[0] {
+            Datum::Int(id) => (id, r),
+            ref other => panic!("id {other:?}"),
+        })
+        .collect()
+}
+
+/// Ids the naive reference selects with `w`. Comparisons and BETWEEN
+/// never raise an error (a NULL or cross-type operand makes them
+/// unknown), so every generated predicate evaluates on every row.
+fn naive_ids(db: &Database, w: &str) -> Vec<i64> {
+    let sql = format!("SELECT id FROM d WHERE {w}");
+    let rs = db
+        .query_naive(&sql)
+        .unwrap_or_else(|e| panic!("naive {sql}: {e}"));
+    let mut ids: Vec<i64> = rs
+        .rows
+        .iter()
+        .map(|r| match r[0] {
+            Datum::Int(id) => id,
+            ref other => panic!("id {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+fn affected(outcome: ExecOutcome, sql: &str) -> usize {
+    match outcome {
+        ExecOutcome::Count(n) => n,
+        other => panic!("{sql}: expected a count, got {other:?}"),
+    }
+}
+
+#[test]
+fn update_and_delete_affect_exactly_the_naive_selection() {
+    cases(120, |rng| {
+        let mut db = gen_dml_db(rng);
+        for _ in 0..4 {
+            let w = gen_dml_where(rng);
+            let ids = naive_ids(&db, &w);
+            let before = table_by_id(&db);
+            let (sql, expected) = if rng.gen_bool(0.5) {
+                let mut expected = before.clone();
+                for id in &ids {
+                    let row = expected.get_mut(id).unwrap();
+                    row[3] = match row[3] {
+                        Datum::Int(t) => Datum::Int(t + 1),
+                        ref other => panic!("tag {other:?}"),
+                    };
+                }
+                (format!("UPDATE d SET tag = tag + 1 WHERE {w}"), expected)
+            } else {
+                let mut expected = before.clone();
+                for id in &ids {
+                    expected.remove(id);
+                }
+                (format!("DELETE FROM d WHERE {w}"), expected)
+            };
+            let n = affected(
+                db.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}")),
+                &sql,
+            );
+            assert_eq!(n, ids.len(), "{sql}: affected {n}, naive selects {ids:?}");
+            assert_eq!(table_by_id(&db), expected, "{sql}");
+        }
+    });
 }

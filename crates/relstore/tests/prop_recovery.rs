@@ -35,7 +35,10 @@ const SETUP: [&str; 4] = [
 fn gen_stmt(rng: &mut StdRng) -> String {
     let id = rng.gen_range(0..24i64);
     let v = rng.gen_range(0..10i64);
-    match rng.gen_range(0..20u32) {
+    // A two-sided key range, so UPDATE/DELETE go through an index
+    // range probe rather than a point lookup or a full scan.
+    let hi = id + rng.gen_range(0..8i64);
+    match rng.gen_range(0..23u32) {
         0..=4 => format!("INSERT INTO t1 VALUES ({id}, {v}, 'w{v}')"),
         5 => format!(
             "INSERT INTO t1 VALUES ({id}, {v}, 'a'), ({}, {v}, 'b')",
@@ -50,6 +53,9 @@ fn gen_stmt(rng: &mut StdRng) -> String {
         16 => format!("DELETE FROM t2 WHERE fk = {v}"),
         17 => "CREATE INDEX t1_v ON t1 (v)".to_string(),
         18 => "DROP TABLE t2".to_string(),
+        19 => format!("UPDATE t1 SET v = v + 1 WHERE id >= {id} AND id < {hi}"),
+        20 => format!("DELETE FROM t1 WHERE id BETWEEN {id} AND {hi}"),
+        21 => format!("UPDATE t2 SET fk = {v} WHERE id > {id} AND id <= {hi}"),
         _ => "CREATE TABLE t2 (id INT PRIMARY KEY, fk INT)".to_string(),
     }
 }
