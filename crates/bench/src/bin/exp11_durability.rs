@@ -124,7 +124,7 @@ fn run_recovery(checkpoint_every: u32, n: usize) -> RecoveryResult {
         Dialect::Canonical,
     )
     .expect("open");
-    db.set_checkpoint_every(checkpoint_every);
+    db.set_checkpoint_every(Some(checkpoint_every));
     create_schema(&mut db);
     for i in 0..n as i64 {
         db.execute(&format!("INSERT INTO accounts VALUES ({i}, {i}, 'r')"))

@@ -17,7 +17,11 @@
 //! ARIES-style WAL records (redo + undo images) before the statement
 //! is acknowledged, the log is forced at commit, checkpoints write
 //! double-buffered snapshots through the buffer pool, and open-time
-//! recovery replays the log to the last committed state. A crash —
+//! recovery replays the log to the last committed state. A checkpoint
+//! is due once the log since the last one holds as many bytes as that
+//! checkpoint's snapshot (at least one page): checkpoint I/O never
+//! exceeds the log I/O that paid for it, and recovery replays at most
+//! one snapshot's worth of log. A crash —
 //! real or injected via [`Database::arm_crash_point`] — leaves the
 //! instance dead ([`RelError::Unavailable`]) until
 //! [`Database::reopen`] recovers it.
@@ -25,7 +29,7 @@
 use crate::dialect::Dialect;
 use crate::exec::{execute_select_with_metrics, ExecMetrics, ResultSet};
 use crate::expr::{eval, EvalContext, Expr};
-use crate::file_mgr::{DiskVfs, Vfs};
+use crate::file_mgr::{DiskVfs, Vfs, PAGE_CAPACITY};
 use crate::plan::dml_candidates;
 use crate::recovery::{self, Meta};
 use crate::sql::ast::Statement;
@@ -209,9 +213,6 @@ pub struct StorageStats {
 /// Buffer-pool frames used for snapshot reads and writes.
 const SNAP_POOL_FRAMES: usize = 64;
 
-/// Commits between automatic checkpoints.
-const DEFAULT_CHECKPOINT_EVERY: u32 = 32;
-
 /// The durable tier attached to a [`Database`] opened with
 /// [`Database::open`]/[`Database::open_vfs`]/[`Database::make_durable`].
 #[derive(Debug)]
@@ -234,8 +235,13 @@ struct Storage {
     dead: bool,
     epoch: u64,
     active_gen: u8,
+    /// Length of the stream the last checkpoint wrote: the log budget
+    /// of the amortized checkpoint trigger.
+    snapshot_bytes: u64,
     commits_since_ckpt: u32,
-    checkpoint_every: u32,
+    /// Explicit cadence (commits between checkpoints); `None` is the
+    /// amortized policy.
+    checkpoint_every: Option<u32>,
     stats: StorageStats,
 }
 
@@ -252,10 +258,29 @@ impl Storage {
             dead: false,
             epoch,
             active_gen,
+            snapshot_bytes: 0,
             commits_since_ckpt: 0,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            checkpoint_every: None,
             stats: StorageStats::default(),
         }
+    }
+
+    /// Log bytes the amortized trigger lets accumulate before the next
+    /// checkpoint: the last snapshot's size, floored at one page so a
+    /// near-empty database does not checkpoint on every commit.
+    fn wal_budget(&self) -> u64 {
+        self.snapshot_bytes.max(PAGE_CAPACITY as u64)
+    }
+
+    /// True when the next statement that can log should checkpoint
+    /// first. `log.tail()` counts the bytes since the last checkpoint,
+    /// which resets the log.
+    fn checkpoint_due(&self) -> bool {
+        !self.dead
+            && match self.checkpoint_every {
+                Some(every) => self.commits_since_ckpt >= every,
+                None => self.log.tail() >= self.wal_budget(),
+            }
     }
 
     fn crash(&mut self, point: CrashPoint) -> RelError {
@@ -408,6 +433,7 @@ impl Storage {
             },
         )?;
         self.stats.checkpoints += 1;
+        self.snapshot_bytes = stream.len() as u64;
         self.commits_since_ckpt = 0;
         Ok(())
     }
@@ -562,12 +588,15 @@ impl Database {
         }
     }
 
-    /// Override the automatic checkpoint cadence (commits between
-    /// checkpoints); tests use small values to exercise the snapshot
-    /// path, benches large ones to isolate WAL cost.
-    pub fn set_checkpoint_every(&mut self, every: u32) {
+    /// Override the automatic checkpoint trigger. `Some(n)` checkpoints
+    /// every `n` commits: tests use small values to exercise the
+    /// snapshot path, E11 fixed cadences to show recovery tracking the
+    /// interval. `None`, the default, is the amortized policy: a
+    /// checkpoint is due once the log since the last one holds as many
+    /// bytes as that checkpoint's snapshot, at least one page.
+    pub fn set_checkpoint_every(&mut self, every: Option<u32>) {
         if let Some(st) = &mut self.storage {
-            st.checkpoint_every = every.max(1);
+            st.checkpoint_every = every.map(|n| n.max(1));
         }
     }
 
@@ -753,20 +782,17 @@ impl Database {
         self.execute_stmt(&Statement::Rollback).map(|_| ())
     }
 
-    /// Checkpoint (outside any transaction) once enough commits have
-    /// accumulated. Runs as a statement *prefix* — never inside the
-    /// COMMIT path — so a mid-page-flush crash can only fail a
-    /// statement that has not yet touched memory or the log, keeping
-    /// "COMMIT acknowledged ⟺ transaction durable" exact.
+    /// Checkpoint (outside any transaction) once one is due. Runs as a
+    /// statement *prefix* — never inside the COMMIT path — so a
+    /// mid-page-flush crash can only fail a statement that has not yet
+    /// touched memory or the log, keeping "COMMIT acknowledged ⟺
+    /// transaction durable" exact. Only statements that can log call
+    /// it: a reader never pays for a checkpoint.
     fn maybe_checkpoint(&mut self) -> RelResult<()> {
-        if self.txn.is_some() {
-            return Ok(());
-        }
-        match self.storage.as_ref() {
-            Some(st) if !st.dead && st.commits_since_ckpt >= st.checkpoint_every => {
-                self.checkpoint()
-            }
-            _ => Ok(()),
+        if self.txn.is_none() && self.storage.as_ref().is_some_and(Storage::checkpoint_due) {
+            self.checkpoint()
+        } else {
+            Ok(())
         }
     }
 
@@ -823,7 +849,9 @@ impl Database {
         if self.is_crashed() {
             return Err(RelError::Unavailable("database crashed; reopen it".into()));
         }
-        self.maybe_checkpoint()?;
+        if !matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
+            self.maybe_checkpoint()?;
+        }
         self.dialect.check(stmt)?;
         let durable = self.storage.is_some();
         let mut wal: Vec<WalChange> = Vec::new();
@@ -1548,7 +1576,7 @@ mod tests {
     fn automatic_checkpoints_compact_the_wal() {
         let vfs = SimVfs::new();
         let mut db = durable_db(&vfs);
-        db.set_checkpoint_every(2);
+        db.set_checkpoint_every(Some(2));
         for i in 10..20 {
             db.execute(&format!("INSERT INTO beds VALUES ({i}, 'w')"))
                 .unwrap();
@@ -1567,6 +1595,184 @@ mod tests {
         db.simulate_crash();
         db.reopen().unwrap();
         assert_eq!(count(&mut db, "SELECT COUNT(*) FROM beds"), 12);
+    }
+
+    fn wal_len(vfs: &Arc<SimVfs>) -> u64 {
+        vfs.len(recovery::WAL_FILE).unwrap()
+    }
+
+    fn wal_budget(db: &Database) -> u64 {
+        db.storage.as_ref().unwrap().wal_budget()
+    }
+
+    fn checkpoints(db: &Database) -> u64 {
+        db.storage_stats().unwrap().checkpoints
+    }
+
+    /// Insert rows into `beds` from id `next` until the WAL reaches the
+    /// amortized budget, checking that no checkpoint fires on the way.
+    /// Returns the next unused id.
+    fn fill_wal_to_budget(db: &mut Database, vfs: &Arc<SimVfs>, mut next: i64) -> i64 {
+        let before = checkpoints(db);
+        while wal_len(vfs) < wal_budget(db) {
+            db.execute(&format!("INSERT INTO beds VALUES ({next}, 'ward {next}')"))
+                .unwrap();
+            next += 1;
+            assert_eq!(checkpoints(db), before, "checkpoint below the WAL budget");
+        }
+        next
+    }
+
+    #[test]
+    fn amortized_checkpoint_fires_once_the_wal_reaches_the_snapshot_size() {
+        let vfs = SimVfs::new();
+        let mut db = durable_db(&vfs);
+        let snap = db.storage.as_ref().unwrap().snapshot_bytes;
+        assert!(
+            snap > 0 && snap < PAGE_CAPACITY as u64,
+            "tiny snapshot: {snap}"
+        );
+        assert_eq!(wal_budget(&db), PAGE_CAPACITY as u64, "one-page floor");
+        let base = checkpoints(&db);
+        let next = fill_wal_to_budget(&mut db, &vfs, 10);
+
+        // The first statement after the crossing checkpoints exactly
+        // once, then the WAL holds that statement's records only.
+        let logged = db.storage_stats().unwrap().wal_bytes;
+        db.execute(&format!("INSERT INTO beds VALUES ({next}, 'last')"))
+            .unwrap();
+        assert_eq!(checkpoints(&db), base + 1);
+        assert_eq!(
+            wal_len(&vfs),
+            db.storage_stats().unwrap().wal_bytes - logged,
+            "the checkpoint reset the WAL"
+        );
+        assert!(db.storage.as_ref().unwrap().snapshot_bytes > snap);
+
+        db.simulate_crash();
+        vfs.power_loss(17);
+        db.reopen().unwrap();
+        assert_eq!(
+            count(&mut db, "SELECT COUNT(*) FROM beds"),
+            next - 10 + 3,
+            "two seed rows, the filled rows and the last one"
+        );
+    }
+
+    #[test]
+    fn read_only_statements_never_checkpoint() {
+        let vfs = SimVfs::new();
+        let mut db = durable_db(&vfs);
+        fill_wal_to_budget(&mut db, &vfs, 10);
+        let (base, full) = (checkpoints(&db), wal_len(&vfs));
+        for sql in [
+            "SELECT * FROM beds",
+            "SELECT COUNT(*) FROM beds WHERE id > 3",
+            "EXPLAIN SELECT loc FROM beds WHERE id = 1",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        assert_eq!(checkpoints(&db), base, "a reader never checkpoints");
+        assert_eq!(wal_len(&vfs), full);
+        db.execute("UPDATE beds SET loc = 'moved' WHERE id = 1")
+            .unwrap();
+        assert_eq!(checkpoints(&db), base + 1, "the next writer does");
+    }
+
+    #[test]
+    fn explicit_cadence_overrides_the_amortized_policy() {
+        let vfs = SimVfs::new();
+        let mut db = durable_db(&vfs);
+        db.set_checkpoint_every(Some(3));
+        db.checkpoint().unwrap();
+        let base = checkpoints(&db);
+        for i in 10..22 {
+            db.execute(&format!("INSERT INTO beds VALUES ({i}, 'w')"))
+                .unwrap();
+            assert!(wal_len(&vfs) < wal_budget(&db), "budget never reached");
+        }
+        // Due after commits 3, 6 and 9; taken before inserts 4, 7, 10.
+        assert_eq!(checkpoints(&db), base + 3);
+
+        db.set_checkpoint_every(None);
+        for i in 22..34 {
+            db.execute(&format!("INSERT INTO beds VALUES ({i}, 'w')"))
+                .unwrap();
+        }
+        assert!(wal_len(&vfs) < wal_budget(&db));
+        assert_eq!(checkpoints(&db), base + 3, "back on the amortized policy");
+    }
+
+    #[test]
+    fn wal_never_exceeds_the_budget_plus_one_statement() {
+        let vfs = SimVfs::new();
+        let mut db = durable_db(&vfs);
+        db.execute("CREATE TABLE notes (id INT PRIMARY KEY, n INT, body TEXT)")
+            .unwrap();
+        let base = checkpoints(&db);
+        let run = |db: &mut Database, sql: String| {
+            let budget = wal_budget(db);
+            let logged = db.storage_stats().unwrap().wal_bytes;
+            db.execute(&sql).unwrap();
+            let appended = db.storage_stats().unwrap().wal_bytes - logged;
+            let wal = wal_len(&vfs);
+            assert!(
+                wal < budget + appended,
+                "after {sql:?}: WAL {wal} B, budget {budget} B, statement {appended} B"
+            );
+        };
+        for i in 0..600i64 {
+            let body = "x".repeat((i * 37 % 180) as usize);
+            run(
+                &mut db,
+                format!("INSERT INTO notes VALUES ({i}, 0, '{body}')"),
+            );
+            if i % 7 == 0 {
+                let lo = (i - 30).max(0);
+                run(
+                    &mut db,
+                    format!("UPDATE notes SET n = n + 1 WHERE id >= {lo} AND id < {i}"),
+                );
+            }
+            if i % 11 == 0 {
+                run(&mut db, format!("DELETE FROM notes WHERE id < {}", i - 60));
+            }
+            if i % 13 == 0 {
+                run(&mut db, "BEGIN".into());
+                for k in 1..=3 {
+                    run(
+                        &mut db,
+                        format!("INSERT INTO beds VALUES ({}, '{body}')", 10 * i + k + 100),
+                    );
+                }
+                run(&mut db, "COMMIT".into());
+            }
+        }
+        assert!(checkpoints(&db) >= base + 3, "the budget was crossed");
+        let rows = count(&mut db, "SELECT COUNT(*) FROM notes");
+        db.simulate_crash();
+        vfs.power_loss(5);
+        db.reopen().unwrap();
+        assert_eq!(count(&mut db, "SELECT COUNT(*) FROM notes"), rows);
+    }
+
+    #[test]
+    fn insert_only_growth_checkpoints_logarithmically() {
+        let vfs = SimVfs::new();
+        let mut db = durable_db(&vfs);
+        let mut at_1000 = 0;
+        for i in 10..8010 {
+            db.execute(&format!("INSERT INTO beds VALUES ({i}, 'ward {i}')"))
+                .unwrap();
+            if i == 1010 {
+                at_1000 = checkpoints(&db);
+            }
+        }
+        // Each checkpoint's budget grows the next snapshot by a fixed
+        // fraction, so 8× the rows costs a few more checkpoints, where
+        // a fixed 32-commit cadence would take 218 more.
+        let more = checkpoints(&db) - at_1000;
+        assert!(more <= 12, "{more} checkpoints for 7000 more rows");
     }
 
     #[test]

@@ -80,19 +80,41 @@ fn is_unavailable(e: &RelError) -> bool {
     matches!(e, RelError::Unavailable(_))
 }
 
-/// Run one seeded workload×crash-point schedule and check the
-/// committed-prefix property.
-fn run_schedule(rng: &mut StdRng) {
+/// How a schedule sets the automatic checkpoint trigger.
+#[derive(Clone, Copy)]
+enum Cadence {
+    /// A seeded explicit cadence of 1–7 commits, over a short workload.
+    Drawn,
+    /// The default amortized policy, over a workload long enough to
+    /// cross its WAL budget, with crash points spread across it.
+    Amortized,
+}
+
+/// What one schedule exercised.
+struct Exercised {
+    /// Automatic checkpoints taken before the crash.
+    checkpoints: u64,
+    /// The armed crash point, if it fired.
+    fired: Option<CrashPoint>,
+}
+
+/// Run one seeded workload×crash-point schedule, check the
+/// committed-prefix property, and report what it exercised.
+fn run_schedule(rng: &mut StdRng, cadence: Cadence) -> Exercised {
     let vfs = SimVfs::new();
     let mut db =
         Database::open_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>, "prop", Dialect::Canonical).unwrap();
-    db.set_checkpoint_every(rng.gen_range(1..8usize) as u32);
+    if let Cadence::Drawn = cadence {
+        db.set_checkpoint_every(Some(rng.gen_range(1..8usize) as u32));
+    }
 
     let mut committed: Vec<String> = Vec::new();
     for s in SETUP {
         db.execute(s).unwrap();
         committed.push(s.to_string());
     }
+    let checkpoints = |db: &Database| db.storage_stats().unwrap().checkpoints;
+    let opened = checkpoints(&db);
 
     let point = *pick(
         rng,
@@ -102,9 +124,18 @@ fn run_schedule(rng: &mut StdRng) {
             CrashPoint::PreCommitRecord,
         ],
     );
-    db.arm_crash_point(point, rng.gen_range(1..20usize) as u64);
+    let (nth, steps) = match (cadence, point) {
+        (Cadence::Drawn, _) => (1..20usize, 8..36usize),
+        // One hit per snapshot page: the first few checkpoints.
+        (Cadence::Amortized, CrashPoint::MidPageFlush) => (1..4, 120..240),
+        // One hit per commit.
+        (Cadence::Amortized, CrashPoint::PreCommitRecord) => (1..160, 120..240),
+        // Several hits per commit: its Begin and every op record.
+        (Cadence::Amortized, _) => (1..400, 120..240),
+    };
+    db.arm_crash_point(point, rng.gen_range(nth) as u64);
 
-    let steps = rng.gen_range(8..36usize);
+    let steps = rng.gen_range(steps);
     let mut crashed = false;
     'workload: for _ in 0..steps {
         if rng.gen_bool(0.35) {
@@ -171,6 +202,10 @@ fn run_schedule(rng: &mut StdRng) {
         assert!(db.simulate_crash());
     }
     assert!(db.is_crashed());
+    let exercised = Exercised {
+        checkpoints: checkpoints(&db) - opened,
+        fired: crashed.then_some(point),
+    };
 
     // Power loss: unsynced writes survive only as a seeded prefix,
     // the last one possibly torn.
@@ -196,11 +231,16 @@ fn run_schedule(rng: &mut StdRng) {
     db.execute("INSERT INTO t1 VALUES (9999, 0, 'post-recovery')")
         .unwrap();
     db.execute("SELECT COUNT(*) FROM t1").unwrap();
+    exercised
+}
+
+fn drawn(rng: &mut StdRng) {
+    run_schedule(rng, Cadence::Drawn);
 }
 
 #[test]
 fn committed_prefix_replay_equivalence() {
-    cases(64, run_schedule);
+    cases(64, drawn);
 }
 
 // The CI durability job pins these two seed bands; together with the
@@ -208,12 +248,38 @@ fn committed_prefix_replay_equivalence() {
 
 #[test]
 fn fixed_seed_band_1999() {
-    cases_from(1999, 8, run_schedule);
+    cases_from(1999, 8, drawn);
 }
 
 #[test]
 fn fixed_seed_band_2026() {
-    cases_from(2026, 8, run_schedule);
+    cases_from(2026, 8, drawn);
+}
+
+/// The default checkpoint policy under crash points: the workloads
+/// cross the WAL budget, so checkpoints fire mid-workload on their own
+/// and `MidPageFlush` crashes land inside them. The CI durability job
+/// pins this band too.
+#[test]
+fn amortized_policy_seed_band() {
+    let mut runs = Vec::new();
+    cases_from(4096, 24, |rng| {
+        runs.push(run_schedule(rng, Cadence::Amortized))
+    });
+    assert!(
+        runs.iter().any(|r| r.checkpoints > 0),
+        "no schedule crossed the WAL budget"
+    );
+    assert!(
+        runs.iter()
+            .any(|r| r.fired == Some(CrashPoint::MidPageFlush)),
+        "no crash inside an automatic checkpoint"
+    );
+    assert!(
+        runs.iter()
+            .any(|r| r.checkpoints > 0 && r.fired == Some(CrashPoint::AfterWalAppend)),
+        "no log-append crash after an automatic checkpoint"
+    );
 }
 
 /// Double recovery (crash during the post-crash session) still
